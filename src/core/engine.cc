@@ -37,17 +37,6 @@ std::string ViolationDetail(const Relation& violations) {
 /// many commits behind fall back to dropping their caches on re-pin.
 constexpr size_t kRecentDeltaWindow = 8;
 
-/// EvalOptions for incremental cache maintenance, mirroring the lowering
-/// path's mapping (LoweredEvalOptions in interp.cc): same thread count and
-/// seed so maintained extents are byte-identical to recomputation.
-datalog::EvalOptions MaintainEvalOptions(const InterpOptions& options) {
-  datalog::EvalOptions eval_options;
-  eval_options.num_threads = options.num_threads;
-  eval_options.max_iterations = std::max(options.max_iterations, 1);
-  eval_options.plan_order_seed = options.plan_order_seed;
-  return eval_options;
-}
-
 /// insert/delete control tuples are (:RName, v1, ..., vk).
 bool SplitControlTuple(const Tuple& t, std::string* name, Tuple* payload) {
   if (t.arity() == 0) return false;
@@ -83,7 +72,17 @@ std::shared_ptr<const Snapshot> Engine::SnapshotNow() const {
   return head_;
 }
 
-std::shared_ptr<const Snapshot> Engine::Publish() {
+std::shared_ptr<const Snapshot> Engine::Publish(
+    std::shared_ptr<const DatabaseDelta> delta) {
+  // The commit's delta rides along with the snapshot so sessions can
+  // maintain their caches on re-pin instead of dropping them.
+  if (delta != nullptr &&
+      (delta->to_version != delta->from_version || !delta->empty())) {
+    recent_deltas_.push_back(std::move(delta));
+    while (recent_deltas_.size() > kRecentDeltaWindow) {
+      recent_deltas_.pop_front();
+    }
+  }
   // Freeze before copying: the snapshot shares the working copy's relation
   // objects, so forcing the lazy sorted views here makes every subsequent
   // const read on the published side write-free.
@@ -212,11 +211,11 @@ TxnResult Engine::ExecTxn(const std::string& source, const InterpOptions& opts,
   std::vector<std::shared_ptr<Def>> combined = *rules_;
   for (auto& def : ParseToSharedDefs(source)) combined.push_back(std::move(def));
 
-  // Writer-side Interps never use the session's demand cache: an aborted
+  // Writer-side Interps never cache demanded cones: an aborted
   // transaction's working database versions can be re-issued by a later
-  // commit with different content, so only published snapshot versions may
-  // become cache keys (see core/demand_cache.h). The writer's own extent
-  // cache is safe because RollbackToHead() drops every above-head entry.
+  // commit with different content (see core/extent_cache.h). The writer's
+  // own component cache is safe because RollbackToHead() drops every
+  // above-head entry.
   InterpOptions writer_opts = opts;
   writer_opts.demand_cache = nullptr;
   writer_opts.shared_defs = rules_->size();
@@ -293,7 +292,7 @@ TxnResult Engine::ExecTxn(const std::string& source, const InterpOptions& opts,
   // commit instead of recomputing them — the post-state constraint check
   // (and every later transaction) resumes semi-naive evaluation from the
   // delta (insert) or runs DRed (delete); see core/extent_cache.h.
-  writer_cache_.Maintain(*delta, MaintainEvalOptions(writer_opts));
+  writer_cache_.Maintain(*delta, EvalOptionsFor(writer_opts));
 
   // The effective net change, for Decker-style constraint specialization:
   // only constraints whose transitive read set intersects these relations
@@ -328,18 +327,10 @@ TxnResult Engine::ExecTxn(const std::string& source, const InterpOptions& opts,
   }
   if (result.txn_id != 0) last_txn_id_ = result.txn_id;
 
-  // Publish the commit's delta alongside the snapshot so sessions can
-  // maintain their demand/extent caches on re-pin instead of dropping them.
-  if (delta->to_version != delta->from_version || !delta->empty()) {
-    recent_deltas_.push_back(std::move(delta));
-    while (recent_deltas_.size() > kRecentDeltaWindow) {
-      recent_deltas_.pop_front();
-    }
-  }
-
-  // The ack: atomically publish the post-state. From this point every new
-  // pin (and every session that adopts `published`) sees the commit.
-  std::shared_ptr<const Snapshot> snap = Publish();
+  // The ack: atomically publish the post-state and its delta. From this
+  // point every new pin (and every session that adopts `published`) sees
+  // the commit.
+  std::shared_ptr<const Snapshot> snap = Publish(std::move(delta));
   result.snapshot_version = snap->version();
   if (published != nullptr) *published = std::move(snap);
   if (full_pass) ic_full_pass_needed_ = false;
@@ -377,17 +368,11 @@ void Engine::ApplyBulk(const std::string& name,
     }
   }
   delta->to_version = db_.version();
-  writer_cache_.Maintain(*delta, MaintainEvalOptions(options_));
-  if (delta->to_version != delta->from_version || !delta->empty()) {
-    recent_deltas_.push_back(std::move(delta));
-    while (recent_deltas_.size() > kRecentDeltaWindow) {
-      recent_deltas_.pop_front();
-    }
-  }
+  writer_cache_.Maintain(*delta, EvalOptionsFor(options_));
   // Bulk loads skip constraint checking by design, so the resulting head
   // has no verified base for delta-specialized checks.
   ic_full_pass_needed_ = true;
-  std::shared_ptr<const Snapshot> snap = Publish();
+  std::shared_ptr<const Snapshot> snap = Publish(std::move(delta));
   if (published != nullptr) *published = std::move(snap);
 }
 

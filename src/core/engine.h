@@ -231,9 +231,12 @@ class Engine {
   /// internal path. Does not publish.
   void DefineLocked(const std::string& source, bool internal);
 
-  /// Requires writer_mu_. Freezes the working database's lazy views, copies
-  /// it (copy-on-write), and atomically swaps the head to a new Snapshot.
-  std::shared_ptr<const Snapshot> Publish();
+  /// Requires writer_mu_. Appends `delta` (the commit that produced the
+  /// working database, if any) to the recent-delta window, freezes the
+  /// working database's lazy views, copies it (copy-on-write), and
+  /// atomically swaps the head to a new Snapshot.
+  std::shared_ptr<const Snapshot> Publish(
+      std::shared_ptr<const DatabaseDelta> delta = nullptr);
 
   /// Requires writer_mu_. Rolls the working database back to the published
   /// head (a shared copy-on-write copy — O(#relations)).

@@ -1,10 +1,19 @@
 #include "core/extent_cache.h"
 
+#include <tuple>
 #include <utility>
+
+#include "datalog/magic.h"
 
 namespace rel {
 
 namespace {
+
+enum class MaintainResult {
+  kUntouched,    // delta does not intersect the closure: extents valid as-is
+  kMaintained,   // extents moved to the delta's post-state incrementally
+  kUnsupported,  // cannot maintain: caller must drop the entry
+};
 
 /// The changed names of `delta` that intersect `names`, or an empty vector.
 std::vector<const std::string*> RelevantChanges(const DatabaseDelta& delta,
@@ -17,15 +26,15 @@ std::vector<const std::string*> RelevantChanges(const DatabaseDelta& delta,
   return out;
 }
 
-}  // namespace
-
-MaintainResult MaintainExtents(MaintainableExtents* e,
-                               const DatabaseDelta& delta,
-                               const datalog::EvalOptions& opts,
-                               datalog::EvalStats* stats) {
+/// Moves `e`'s fixpoint forward under `delta`. kUnsupported when the delta
+/// is wholesale, touches the closure of a non-maintainable entry, or hits a
+/// shape EvaluateDelta rejects. `stats` accumulates the incremental
+/// evaluation's counters.
+MaintainResult MaintainEntry(ExtentCache::Entry* e, const DatabaseDelta& delta,
+                             const datalog::EvalOptions& opts,
+                             datalog::EvalStats* stats) {
   if (delta.wholesale) return MaintainResult::kUnsupported;
-  std::vector<const std::string*> relevant =
-      RelevantChanges(delta, e->closure);
+  std::vector<const std::string*> relevant = RelevantChanges(delta, e->closure);
   if (relevant.empty()) return MaintainResult::kUntouched;
   if (!e->maintainable) return MaintainResult::kUnsupported;
 
@@ -49,6 +58,13 @@ MaintainResult MaintainExtents(MaintainableExtents* e,
                           : MaintainResult::kUnsupported;
 }
 
+}  // namespace
+
+bool ExtentCache::Key::operator<(const Key& other) const {
+  return std::tie(component, goal, pattern) <
+         std::tie(other.component, other.goal, other.pattern);
+}
+
 std::string ExtentCache::KeyFor(const std::vector<std::string>& members) {
   std::string key;
   for (const std::string& m : members) {
@@ -58,7 +74,7 @@ std::string ExtentCache::KeyFor(const std::vector<std::string>& members) {
   return key;
 }
 
-const ExtentCache::Entry* ExtentCache::Lookup(const std::string& key,
+const ExtentCache::Entry* ExtentCache::Lookup(const Key& key,
                                               uint64_t db_version) {
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second->db_version != db_version) {
@@ -69,7 +85,7 @@ const ExtentCache::Entry* ExtentCache::Lookup(const std::string& key,
   return it->second.get();
 }
 
-ExtentCache::Entry& ExtentCache::Store(std::string key, Entry entry) {
+ExtentCache::Entry& ExtentCache::Store(Key key, Entry entry) {
   std::unique_ptr<Entry>& slot = entries_[std::move(key)];
   slot = std::make_unique<Entry>(std::move(entry));
   return *slot;
@@ -79,27 +95,30 @@ void ExtentCache::Maintain(const DatabaseDelta& delta,
                            const datalog::EvalOptions& opts) {
   for (auto it = entries_.begin(); it != entries_.end();) {
     Entry& entry = *it->second;
-    if (entry.db_version != delta.from_version) {
+    MaintainResult result =
+        entry.db_version != delta.from_version
+            ? MaintainResult::kUnsupported
+            : MaintainEntry(&entry, delta, opts, &maintain_stats_);
+    if (result == MaintainResult::kUnsupported) {
       ++dropped_;
       it = entries_.erase(it);
       continue;
     }
-    switch (MaintainExtents(&entry.ext, delta, opts, &maintain_stats_)) {
-      case MaintainResult::kUntouched:
-        ++restamped_;
-        entry.db_version = delta.to_version;
-        ++it;
-        break;
-      case MaintainResult::kMaintained:
-        ++maintained_;
-        entry.db_version = delta.to_version;
-        ++it;
-        break;
-      case MaintainResult::kUnsupported:
-        ++dropped_;
-        it = entries_.erase(it);
-        break;
+    if (result == MaintainResult::kMaintained) {
+      ++maintained_;
+      // A cone is a pure function of the maintained extents: re-filter.
+      if (!it->first.goal.empty()) {
+        auto goal = entry.extents.find(entry.goal_pred);
+        entry.cone = goal == entry.extents.end()
+                         ? Relation()
+                         : datalog::FilterByPattern(goal->second,
+                                                    it->first.pattern);
+      }
+    } else {
+      ++restamped_;
     }
+    entry.db_version = delta.to_version;
+    ++it;
   }
 }
 
@@ -117,7 +136,7 @@ void ExtentCache::DropAbove(uint64_t db_version) {
 void ExtentCache::ClearAffected(const std::set<std::string>& names) {
   for (auto it = entries_.begin(); it != entries_.end();) {
     bool affected = false;
-    for (const std::string& n : it->second->ext.closure) {
+    for (const std::string& n : it->second->closure) {
       if (names.count(n)) {
         affected = true;
         break;

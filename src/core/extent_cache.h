@@ -1,35 +1,47 @@
-// ExtentCache: derived state that survives updates (the incremental-
-// maintenance tentpole).
+// ExtentCache: derived state that survives transactions and updates.
 //
-// PR 5's recursion lowering evaluates a qualifying Rel component on the
-// planned Datalog engine, but the fixpoint died with the transaction's
-// Interp: every transaction recomputed the closure from scratch even when
-// the database had not changed — or had changed by one tuple. This cache
-// hoists the lowered fixpoint out of the transaction and, where possible,
-// *maintains* it under base-relation deltas instead of recomputing:
+// The one cache for lowered Datalog fixpoints. An entry holds either
+//   * a whole component: the fixpoint of the component's lowered program,
+//     spliced back into a later Interp at the same database version; or
+//   * a demanded cone: the fixpoint of the magic-set transform of that
+//     program for one bound pattern (tc(0, Y)), plus the goal-filtered
+//     cone the Interp hands out.
+// Both kinds carry the same maintenance payload and follow one path: on a
+// commit delta, Maintain() moves every entry forward instead of dropping
+// it —
 //
+//   * a delta outside the entry's closure → re-stamp the version;
 //   * insert → resume semi-naive evaluation with the inserted tuples as the
 //     delta against the cached fixpoint (datalog::EvaluateDelta);
 //   * delete → DRed: over-delete everything derivable from the deleted
 //     tuples, then re-derive what has alternative support;
-//   * unsupported shapes (negation over an affected predicate, wholesale
-//     Put/Drop) → the entry is dropped and the next transaction recomputes.
+//   * unsupported shapes (negation over an affected predicate, aggregates,
+//     wholesale Put/Drop) → the entry is dropped and the next transaction
+//     recomputes.
+// A cone is re-filtered from its maintained fixpoint (magic seed facts
+// never change under base-relation deltas, so the transformed program's
+// EDB delta IS the database delta).
 //
-// Ownership mirrors core/demand_cache.h: one cache per owner (the Engine's
-// writer side, or a Session), externally synchronized, never shared. An
-// entry is keyed by its component (sorted member list) and stamped with the
-// Database::version() it is valid for; owners maintain entries forward
+// Ownership: one cache per owner, externally synchronized, never shared.
+// The Engine's writer side owns one for components; each Session owns two
+// instances, one for components (InterpOptions::extent_cache) and one for
+// cones (InterpOptions::demand_cache), so each keeps its own counters. An
+// entry is keyed by its component (sorted member list) plus, for a cone,
+// the queried member and its binding pattern, and is stamped with the
+// Database::version() it is valid at. Owners maintain entries forward
 // along the commit pipeline's DatabaseDelta chain (engine writer: inside
-// ExecTxn/ApplyBulk; sessions: Snapshot::recent_deltas on Adopt) and must
-// Clear()/ClearAffected() on rule-set changes and DropAbove() on rollback
+// ExecTxn/ApplyBulk; sessions: Snapshot::recent_deltas on Adopt), and
+// Clear() whenever the chain cannot be walked. On rule-set changes they
+// Clear() or ClearAffected(); on rollback the writer calls DropAbove()
 // (maintenance mutates entries in place, so an aborted transaction's
-// working versions cannot be restored — only discarded; version counters
-// alias across rollback, exactly like the demand-cache hazard).
+// working versions cannot be restored, only discarded: version counters
+// alias across rollback). That aliasing is also why writer-side Interps
+// never get a cone cache.
 //
-// The correctness bar: maintained extents are byte-identical to the
-// from-scratch fixpoint at the new version (pinned by tests/core/
-// maintain_test.cc and the update-stream fuzzer differentially against
-// full recomputation).
+// The correctness bar: maintained extents and cones are byte-identical to
+// the from-scratch fixpoint at the new version (pinned by tests/core/
+// maintain_test.cc, tests/core/session_test.cc and the update-stream
+// fuzzer, differentially against full recomputation).
 
 #ifndef REL_CORE_EXTENT_CACHE_H_
 #define REL_CORE_EXTENT_CACHE_H_
@@ -37,92 +49,94 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "data/database.h"
 #include "data/relation.h"
+#include "data/value.h"
 #include "datalog/eval.h"
 #include "datalog/index.h"
 #include "datalog/program.h"
 
 namespace rel {
 
-/// A cached Datalog fixpoint plus everything needed to move it forward
-/// under a DatabaseDelta. Shared between the component cache below and the
-/// demand-cone payloads in core/demand_cache.h.
-struct MaintainableExtents {
-  /// The program whose fixpoint `extents` is (rules are what matter;
-  /// program.facts() is the EDB at the version the entry was built at and
-  /// is not consulted during maintenance).
-  datalog::Program program;
-  /// The full fixpoint: every EDB and IDB predicate's extent, mutated in
-  /// place by maintenance. Map nodes (and so arena addresses) are stable;
-  /// the persistent IndexCache below depends on that.
-  std::map<std::string, Relation> extents;
-  /// Post-version base facts of predicates that are BOTH rule heads and
-  /// database base relations (DRed re-derivation support; see
-  /// datalog::EvaluateDelta's base_facts contract). Updated in lockstep
-  /// with the delta.
-  std::map<std::string, Relation> base_facts;
-  /// Rule-head predicates of `program` that are database relation names
-  /// (the ones whose base_facts must track deltas).
-  std::set<std::string> head_preds;
-  /// Database relation names feeding the program's EDB — the names whose
-  /// DatabaseDelta changes translate into an EdbDelta.
-  std::set<std::string> base_names;
-  /// Rel-level name closure of the component (members, externals, and
-  /// everything reachable from their rules). The relevance filter: a delta
-  /// touching none of these leaves the extents valid as-is.
-  std::set<std::string> closure;
-  /// False when the extents cannot be maintained (an external with rules:
-  /// its EDB snapshot is a derived value a base delta changes opaquely).
-  /// Such entries survive irrelevant deltas but drop on relevant ones.
-  bool maintainable = false;
-  /// Persistent across maintenance calls so indexes over grown extents take
-  /// the pure-append fast path (EvalStats::index_appends) instead of
-  /// rebuilding. unique_ptr: IndexCache holds mutexes and cannot move.
-  std::unique_ptr<datalog::IndexCache> cache =
-      std::make_unique<datalog::IndexCache>();
-};
-
-enum class MaintainResult {
-  kUntouched,    // delta does not intersect the closure: extents valid as-is
-  kMaintained,   // extents moved to the delta's post-state incrementally
-  kUnsupported,  // cannot maintain: caller must drop the entry
-};
-
-/// Moves `e` forward under `delta`. kUnsupported when the delta is
-/// wholesale, touches the closure of a non-maintainable entry, or hits a
-/// shape EvaluateDelta rejects. `stats`, when non-null, accumulates the
-/// incremental evaluation's counters.
-MaintainResult MaintainExtents(MaintainableExtents* e,
-                               const DatabaseDelta& delta,
-                               const datalog::EvalOptions& opts,
-                               datalog::EvalStats* stats);
-
-/// Per-owner cache of lowered-component fixpoints, keyed by component
-/// identity (sorted member list) and stamped with a database version.
+/// Per-owner cache of lowered fixpoints — whole components and demanded
+/// cones — keyed by component and stamped with a database version.
 /// Externally synchronized; see the header comment for the ownership and
 /// invalidation contract.
 class ExtentCache {
  public:
-  struct Entry {
-    uint64_t db_version = 0;
-    MaintainableExtents ext;
+  struct Key {
+    /// The component: its sorted members, joined by KeyFor().
+    std::string component;
+    /// Demanded cones only (empty for a whole component): the queried
+    /// member and its binding pattern. The pattern's size is the queried
+    /// arity, so tc(0, Y) and tc(0, Y, Z) never share an entry.
+    std::string goal;
+    std::vector<std::optional<Value>> pattern;
+
+    bool operator<(const Key& other) const;
   };
 
-  /// The key for the component whose sorted members are `members`.
+  /// A cached Datalog fixpoint plus everything needed to move it forward
+  /// under a DatabaseDelta.
+  struct Entry {
+    uint64_t db_version = 0;
+    /// The program whose fixpoint `extents` is (rules are what matter;
+    /// program.facts() is the EDB at the version the entry was built at and
+    /// is not consulted during maintenance). For a cone, the magic-set
+    /// transformed program.
+    datalog::Program program;
+    /// The full fixpoint: every EDB and IDB predicate's extent, mutated in
+    /// place by maintenance. Map nodes (and so arena addresses) are stable;
+    /// the persistent IndexCache below depends on that.
+    std::map<std::string, Relation> extents;
+    /// Post-version base facts of predicates that are BOTH rule heads and
+    /// database base relations (DRed re-derivation support; see
+    /// datalog::EvaluateDelta's base_facts contract). Updated in lockstep
+    /// with the delta.
+    std::map<std::string, Relation> base_facts;
+    /// Rule-head predicates of the component that are database relation
+    /// names (the ones whose base_facts must track deltas).
+    std::set<std::string> head_preds;
+    /// Database relation names feeding the program's EDB — the names whose
+    /// DatabaseDelta changes translate into an EdbDelta.
+    std::set<std::string> base_names;
+    /// Rel-level name closure of the component (members, externals, and
+    /// everything reachable from their rules). The relevance filter: a
+    /// delta or rule change touching none of these leaves the entry valid.
+    std::set<std::string> closure;
+    /// False when the extents cannot be maintained (an external with rules:
+    /// its EDB snapshot is a derived value a base delta changes opaquely;
+    /// or aggregate rules). Such entries survive irrelevant deltas but drop
+    /// on relevant ones.
+    bool maintainable = false;
+    /// Persistent across maintenance calls so indexes over grown extents
+    /// take the pure-append fast path (EvalStats::index_appends) instead of
+    /// rebuilding. unique_ptr: IndexCache holds mutexes and cannot move.
+    std::unique_ptr<datalog::IndexCache> cache =
+        std::make_unique<datalog::IndexCache>();
+    /// Demanded cones only: the goal's predicate in `program` and the cone,
+    /// FilterByPattern(extents[goal_pred], key.pattern), re-filtered after
+    /// every maintenance step.
+    std::string goal_pred;
+    Relation cone;
+  };
+
+  /// The component part of a key for the component whose sorted members
+  /// are `members`.
   static std::string KeyFor(const std::vector<std::string>& members);
 
   /// The entry for `key` valid at exactly `db_version`, or nullptr. Counts
   /// a hit or a miss.
-  const Entry* Lookup(const std::string& key, uint64_t db_version);
+  const Entry* Lookup(const Key& key, uint64_t db_version);
 
   /// Stores (replacing any previous entry for `key`); the returned
   /// reference is stable until the entry is dropped.
-  Entry& Store(std::string key, Entry entry);
+  Entry& Store(Key key, Entry entry);
 
   /// Moves every entry at delta.from_version to delta.to_version —
   /// incrementally where the delta is relevant, by re-stamping where it is
@@ -137,8 +151,7 @@ class ExtentCache {
   void DropAbove(uint64_t db_version);
 
   /// Drops every entry whose closure intersects `names` (rule-set changes:
-  /// a new def for a name only invalidates the components that can read
-  /// it).
+  /// a new def for a name only invalidates the entries that can read it).
   void ClearAffected(const std::set<std::string>& names);
 
   void Clear() { entries_.clear(); }
@@ -156,7 +169,7 @@ class ExtentCache {
  private:
   /// unique_ptr: entries hold an IndexCache whose indexes point into the
   /// entry's own extents — neither may move after Store.
-  std::map<std::string, std::unique_ptr<Entry>> entries_;
+  std::map<Key, std::unique_ptr<Entry>> entries_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t maintained_ = 0;
@@ -164,6 +177,10 @@ class ExtentCache {
   uint64_t dropped_ = 0;
   datalog::EvalStats maintain_stats_;
 };
+
+/// The cone cache a Session hands its Interps: the same class as the
+/// component cache (see the header comment).
+using DemandCache = ExtentCache;
 
 }  // namespace rel
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/error.h"
-#include "core/extent_cache.h"
 #include "core/lowering.h"
 #include "datalog/eval.h"
 #include "datalog/magic.h"
@@ -112,10 +111,6 @@ Interp::Interp(const Database* db, std::vector<std::shared_ptr<Def>> defs,
   }
 }
 
-bool Interp::DemandCacheable(const std::string& name) {
-  return options_.demand_cache != nullptr && SharedRulesOnly(name);
-}
-
 bool Interp::SharedRulesOnly(const std::string& name) {
   auto memo = shared_rules_only_.find(name);
   if (memo != shared_rules_only_.end()) return memo->second;
@@ -155,7 +150,7 @@ std::set<std::string> Interp::ReferencesClosure(const std::string& name) const {
 
 void Interp::FillMaintainInfo(const LoweredComponent& lowered,
                               const std::string& name,
-                              MaintainableExtents* out) {
+                              ExtentCache::Entry* out) {
   // Members are one SCC (mutually reachable), so the closure from any one
   // of them covers them all plus everything their rules can read.
   out->closure = ReferencesClosure(name);
@@ -366,15 +361,7 @@ const Relation& Interp::EvalInstanceImpl(const InstanceKey& key) {
   return inst.value;
 }
 
-namespace {
-
-/// The Datalog options every lowered evaluation — the full-component splice
-/// (TryLowerComponent) and the demanded cone (EvalInstanceDemand) — runs
-/// under, so the two paths can never diverge. InterpOptions treats any cap
-/// as strict (0 still allows one iteration), while 0 means unbounded to the
-/// Datalog engine — clamp to at least 1 so a zero cap can never turn into
-/// an infinite lowered fixpoint.
-datalog::EvalOptions LoweredEvalOptions(const InterpOptions& options) {
+datalog::EvalOptions EvalOptionsFor(const InterpOptions& options) {
   datalog::EvalOptions eval_options;
   eval_options.strategy = datalog::Strategy::kSemiNaive;
   eval_options.num_threads = options.num_threads;
@@ -382,8 +369,6 @@ datalog::EvalOptions LoweredEvalOptions(const InterpOptions& options) {
   eval_options.plan_order_seed = options.plan_order_seed;
   return eval_options;
 }
-
-}  // namespace
 
 std::optional<LoweredComponent> Interp::BuildLoweredProgram(
     const std::string& name) {
@@ -456,14 +441,14 @@ bool Interp::TryLowerComponent(const std::string& name) {
   // version — splice copies and skip the evaluator entirely.
   const bool cacheable =
       options_.extent_cache != nullptr && SharedRulesOnly(name);
-  std::string cache_key;
+  ExtentCache::Key cache_key;
   if (cacheable) {
-    cache_key = ExtentCache::KeyFor(analysis_.ComponentMembers(name));
+    cache_key.component = ExtentCache::KeyFor(analysis_.ComponentMembers(name));
     if (const ExtentCache::Entry* hit =
             options_.extent_cache->Lookup(cache_key, db_->version())) {
       for (const std::string& member : analysis_.ComponentMembers(name)) {
-        auto it = hit->ext.extents.find(member);
-        splice(member, it == hit->ext.extents.end() ? Relation() : it->second);
+        auto it = hit->extents.find(member);
+        splice(member, it == hit->extents.end() ? Relation() : it->second);
       }
       ++lowering_stats_.components_lowered;
       ++lowering_stats_.extent_cache_hits;
@@ -476,12 +461,12 @@ bool Interp::TryLowerComponent(const std::string& name) {
 
   // Value-generating recursion (x = y + 1 inside the SCC) can diverge even
   // in the Datalog fragment; the interpreter's iteration cap must survive
-  // the lowering (LoweredEvalOptions clamps it). A capped component rejects
+  // the lowering (EvalOptionsFor clamps it). A capped component rejects
   // below and re-runs (and re-caps, with the authoritative diagnostic) on
   // the tuple-at-a-time path.
   std::map<std::string, Relation> extents;
   try {
-    extents = datalog::Evaluate(lowered->program, LoweredEvalOptions(options_));
+    extents = datalog::Evaluate(lowered->program, EvalOptionsFor(options_));
   } catch (const RelError& err) {
     // E.g. a rule that is not range-restricted under any literal order; the
     // tuple-at-a-time solver stays the authority on whether that errors.
@@ -499,9 +484,9 @@ bool Interp::TryLowerComponent(const std::string& name) {
   if (cacheable) {
     ExtentCache::Entry entry;
     entry.db_version = db_->version();
-    entry.ext.extents = std::move(extents);
-    FillMaintainInfo(*lowered, name, &entry.ext);
-    entry.ext.program = std::move(lowered->program);
+    entry.extents = std::move(extents);
+    FillMaintainInfo(*lowered, name, &entry);
+    entry.program = std::move(lowered->program);
     options_.extent_cache->Store(std::move(cache_key), std::move(entry));
   }
   return true;
@@ -531,29 +516,27 @@ const Relation& Interp::EvalInstanceDemand(
     return EvalInstance(name, 0, {});
   }
 
-  // Memo key: bound positions and their values; the name is qualified by
-  // the pattern arity so tc(0, Y) and tc(0, Y, Z) never share an entry.
-  std::vector<std::pair<size_t, Value>> bound;
-  for (size_t i = 0; i < pattern.size(); ++i) {
-    if (pattern[i]) bound.emplace_back(i, *pattern[i]);
-  }
-  auto key = std::make_pair(name + "/" + std::to_string(pattern.size()),
-                            std::move(bound));
+  // Memo key: the pattern's size is the queried arity, so tc(0, Y) and
+  // tc(0, Y, Z) never share an entry.
+  auto key = std::make_pair(name, pattern);
   auto memo = demand_memo_.find(key);
   if (memo != demand_memo_.end()) return memo->second;
 
   // Session-shared cache: a cone already derived by an earlier transaction
   // against this same database version (and the same shared rules — see
-  // DemandCacheable) is returned without touching the evaluator. The
-  // reference is stable for the cache's lifetime, which outlives this
-  // Interp.
-  const bool cacheable = DemandCacheable(name);
-  DemandCache::Key cache_key;
+  // SharedRulesOnly), or maintained forward to it, is returned without
+  // touching the evaluator. The reference is stable until the owner drops
+  // the entry, which never happens during a transaction.
+  const bool cacheable =
+      options_.demand_cache != nullptr && SharedRulesOnly(name);
+  ExtentCache::Key cache_key;
   if (cacheable) {
-    cache_key = DemandCache::Key{db_->version(), key.first, key.second};
-    if (const Relation* hit = options_.demand_cache->Lookup(cache_key)) {
+    cache_key = ExtentCache::Key{
+        ExtentCache::KeyFor(analysis_.ComponentMembers(name)), name, pattern};
+    if (const ExtentCache::Entry* hit =
+            options_.demand_cache->Lookup(cache_key, db_->version())) {
       ++lowering_stats_.demand_cache_hits;
-      return *hit;
+      return hit->cone;
     }
   }
 
@@ -576,59 +559,44 @@ const Relation& Interp::EvalInstanceDemand(
       DemandGoalFor(*dc.lowered, name, pattern);
   if (!goal) return EvalInstance(name, 0, {});
 
-  if (cacheable) {
-    // Cacheable cones run the magic transform explicitly and keep the
-    // transformed program's FULL fixpoint as the entry's maintenance
-    // payload: on later commits the session moves it forward with
-    // datalog::EvaluateDelta (the magic seed facts never change under
-    // base-relation deltas) and re-filters the goal extent, instead of
-    // re-running the cone from scratch.
-    datalog::MagicProgram magic =
-        datalog::MagicTransform(dc.lowered->program, *goal);
-    const datalog::Program& prog =
-        magic.transformed ? magic.program : dc.lowered->program;
-    std::map<std::string, Relation> extents;
-    try {
-      extents = datalog::Evaluate(prog, LoweredEvalOptions(options_));
-    } catch (const RelError&) {
-      return EvalInstance(name, 0, {});
-    }
-    ++dc.patterns;
-    Relation cone;
-    auto it = extents.find(magic.goal_pred);
-    if (it != extents.end()) {
-      cone = datalog::FilterByPattern(it->second, goal->pattern);
-    }
-    ++lowering_stats_.components_demanded;
-    lowering_stats_.demanded_tuples += cone.size();
-    auto payload = std::make_unique<MaintainableExtents>();
-    payload->extents = std::move(extents);
-    FillMaintainInfo(*dc.lowered, name, payload.get());
-    payload->program =
-        magic.transformed ? std::move(magic.program) : dc.lowered->program;
-    return options_.demand_cache->Store(std::move(cache_key), std::move(cone),
-                                        magic.goal_pred, goal->pattern,
-                                        std::move(payload));
-  }
-
-  datalog::EvalOptions eval_options = LoweredEvalOptions(options_);
-  eval_options.demand_goal = std::move(goal);
+  // Every cone takes one path: magic-set rewrite for the goal, evaluate the
+  // transformed program, filter the goal extent by the pattern.
+  datalog::MagicProgram magic =
+      datalog::MagicTransform(dc.lowered->program, *goal);
+  const datalog::Program& prog =
+      magic.transformed ? magic.program : dc.lowered->program;
   std::map<std::string, Relation> extents;
   try {
-    extents = datalog::Evaluate(dc.lowered->program, eval_options);
+    extents = datalog::Evaluate(prog, EvalOptionsFor(options_));
   } catch (const RelError&) {
     // The tuple-at-a-time path stays the authority on errors (safety under
     // any literal order, non-convergence diagnostics naming the component).
     return EvalInstance(name, 0, {});
   }
-
   ++dc.patterns;
   Relation cone;
-  auto it = extents.find(name);
-  if (it != extents.end()) cone = std::move(it->second);
+  auto it = extents.find(magic.goal_pred);
+  if (it != extents.end()) {
+    cone = datalog::FilterByPattern(it->second, goal->pattern);
+  }
   ++lowering_stats_.components_demanded;
   lowering_stats_.demanded_tuples += cone.size();
-  return demand_memo_[key] = std::move(cone);
+  if (!cacheable) return demand_memo_[std::move(key)] = std::move(cone);
+
+  // A cached cone keeps the transformed program's FULL fixpoint as its
+  // maintenance payload: on later commits the owner moves it forward with
+  // datalog::EvaluateDelta and re-filters the goal extent, instead of
+  // re-running the cone from scratch.
+  ExtentCache::Entry entry;
+  entry.db_version = db_->version();
+  entry.extents = std::move(extents);
+  FillMaintainInfo(*dc.lowered, name, &entry);
+  entry.program =
+      magic.transformed ? std::move(magic.program) : dc.lowered->program;
+  entry.goal_pred = std::move(magic.goal_pred);
+  entry.cone = std::move(cone);
+  return options_.demand_cache->Store(std::move(cache_key), std::move(entry))
+      .cone;
 }
 
 const Relation& Interp::MaterializeSO(const SOValue& value) {

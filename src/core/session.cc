@@ -1,8 +1,8 @@
 #include "core/session.h"
 
-#include <algorithm>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/parser.h"
@@ -10,17 +10,6 @@
 namespace rel {
 
 namespace {
-
-/// Mirrors the lowering path's InterpOptions → EvalOptions mapping (see
-/// LoweredEvalOptions in interp.cc and MaintainEvalOptions in engine.cc) so
-/// maintained extents are byte-identical to recomputation.
-datalog::EvalOptions MaintainEvalOptions(const InterpOptions& options) {
-  datalog::EvalOptions eval_options;
-  eval_options.num_threads = options.num_threads;
-  eval_options.max_iterations = std::max(options.max_iterations, 1);
-  eval_options.plan_order_seed = options.plan_order_seed;
-  return eval_options;
-}
 
 /// True when `next` is a pure extension of `prev` (same shared defs, in
 /// order, plus appended ones); fills `added` with the appended names.
@@ -37,6 +26,25 @@ bool RulesExtended(const std::vector<std::shared_ptr<Def>>& prev,
   return true;
 }
 
+/// The published deltas leading from `from`'s database to `to`'s, oldest
+/// first; empty when `to` cannot be reached from `from` that way (different
+/// epoch, or `from` has scrolled out of `to`'s window).
+std::vector<const DatabaseDelta*> DeltaChain(const Snapshot& from,
+                                             const Snapshot& to) {
+  std::vector<const DatabaseDelta*> chain;
+  if (from.db_epoch != to.db_epoch) return chain;
+  uint64_t at = from.version();
+  for (const auto& delta : to.recent_deltas) {
+    if (at == to.version()) break;
+    if (chain.empty() && delta->from_version != at) continue;
+    if (delta->db_epoch != to.db_epoch || delta->from_version != at) return {};
+    chain.push_back(delta.get());
+    at = delta->to_version;
+  }
+  if (at != to.version()) return {};
+  return chain;
+}
+
 }  // namespace
 
 Session::Session(Engine* engine, std::shared_ptr<const Snapshot> snap,
@@ -49,53 +57,35 @@ void Session::Refresh() { Adopt(engine_->SnapshotNow()); }
 
 void Session::Adopt(std::shared_ptr<const Snapshot> snap) {
   if (snap == nullptr || snap == snap_) return;
+  ExtentCache* caches[] = {&extent_cache_, &demand_cache_};
 
   if (snap->rules_version != snap_->rules_version) {
     std::set<std::string> added;
-    if (RulesExtended(*snap_->rules, *snap->rules, &added)) {
-      // Define only ever appends: a new rule invalidates exactly the cached
-      // cones/extents whose closure can read one of the new names — the
-      // rest were derived from relations the new rules cannot reach and
-      // keep serving hits.
-      demand_cache_.ClearAffected(added);
-      extent_cache_.ClearAffected(added);
-    } else {
-      demand_cache_.Clear();
-      extent_cache_.Clear();
+    const bool extended = RulesExtended(*snap_->rules, *snap->rules, &added);
+    for (ExtentCache* cache : caches) {
+      // Define only ever appends: a new rule invalidates exactly the entries
+      // whose closure can read one of the new names — the rest were derived
+      // from relations the new rules cannot reach and keep serving hits.
+      if (extended) {
+        cache->ClearAffected(added);
+      } else {
+        cache->Clear();
+      }
     }
   }
 
   // Database maintenance: walk the published commit-delta chain from the
-  // pinned version to the new head, moving both caches along incrementally
-  // (O(|delta cone|) per entry per commit). A pin that predates the chain
-  // window — or a wholesale database swap (epoch bump) — falls back to
-  // dropping.
-  if (snap->db_epoch == snap_->db_epoch && snap->version() == snap_->version()) {
-    // Same database state; every cached version key is still the pin.
-  } else {
-    bool walked = snap->db_epoch == snap_->db_epoch;
-    if (walked) {
-      const datalog::EvalOptions eval_opts = MaintainEvalOptions(options_);
-      uint64_t at = snap_->version();
-      const auto& chain = snap->recent_deltas;
-      size_t i = 0;
-      while (i < chain.size() && chain[i]->from_version != at) ++i;
-      if (i == chain.size()) walked = false;
-      for (; walked && i < chain.size() && at != snap->version(); ++i) {
-        const DatabaseDelta& delta = *chain[i];
-        if (delta.db_epoch != snap->db_epoch || delta.from_version != at) {
-          walked = false;
-          break;
-        }
-        demand_cache_.Maintain(delta, eval_opts);
-        extent_cache_.Maintain(delta, eval_opts);
-        at = delta.to_version;
-      }
-      if (at != snap->version()) walked = false;
-    }
-    if (!walked) {
-      extent_cache_.Clear();
-      demand_cache_.Retain(snap->version());
+  // pinned version to the new head, moving every entry along incrementally
+  // (O(|delta cone|) per entry per commit). Any adopt that cannot walk the
+  // chain — a pin older than the window, or a wholesale database swap
+  // (epoch bump), whose version numbers may repeat the old timeline's —
+  // drops every entry.
+  if (snap->db_epoch != snap_->db_epoch || snap->version() != snap_->version()) {
+    const std::vector<const DatabaseDelta*> chain = DeltaChain(*snap_, *snap);
+    const datalog::EvalOptions eval_opts = EvalOptionsFor(options_);
+    for (ExtentCache* cache : caches) {
+      if (chain.empty()) cache->Clear();
+      for (const DatabaseDelta* delta : chain) cache->Maintain(*delta, eval_opts);
     }
   }
   snap_ = std::move(snap);

@@ -16,7 +16,7 @@
 // committed state, not against the session's pinned snapshot.
 //
 // Threading: one Session = one client. A Session must be used from one
-// thread at a time (its demand cache and pin are unsynchronized); any
+// thread at a time (its caches and pin are unsynchronized); any
 // number of Sessions may run concurrently against the same Engine.
 
 #ifndef REL_CORE_SESSION_H_
@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "core/demand_cache.h"
 #include "core/extent_cache.h"
 #include "core/interp.h"
 #include "data/database.h"
@@ -73,9 +72,10 @@ class Session {
 
   // --- snapshot control ---
 
-  /// Re-pins the newest published snapshot. Demand-cache upkeep: entries
-  /// for other database versions are dropped; a rule-set change clears the
-  /// cache entirely.
+  /// Re-pins the newest published snapshot. Cache upkeep (see Adopt):
+  /// entries follow the published delta chain to the new version, or are
+  /// all dropped when the chain cannot be walked; a rule-set change drops
+  /// the entries it can affect.
   void Refresh();
 
   /// The pinned snapshot (stable until Refresh or a successful write).
@@ -124,11 +124,12 @@ class Session {
   /// Lowering/demand counters of this session's most recent Query/Eval/Exec.
   const LoweringStats& last_lowering_stats() const { return lowering_stats_; }
 
-  /// The session's cross-transaction demand-cone cache (hits/misses/size).
+  /// The session's cross-transaction cache of demanded cones
+  /// (hits/misses/size count cones only).
   const DemandCache& demand_cache() const { return demand_cache_; }
 
-  /// The session's whole-extent cache for fully-derived components
-  /// (maintained across re-pins just like the demand cache).
+  /// The session's cross-transaction cache of whole lowered components
+  /// (the same class, maintained across re-pins the same way).
   const ExtentCache& extent_cache() const { return extent_cache_; }
 
  private:
@@ -137,7 +138,8 @@ class Session {
   Session(Engine* engine, std::shared_ptr<const Snapshot> snap,
           InterpOptions options);
 
-  /// Adopts a (newer) snapshot as the pin, pruning the demand cache.
+  /// Adopts a (newer) snapshot as the pin, maintaining both caches along
+  /// the published delta chain or clearing them.
   void Adopt(std::shared_ptr<const Snapshot> snap);
 
   Engine* engine_;

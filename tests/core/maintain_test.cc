@@ -135,26 +135,45 @@ TEST(SessionMaintain, DeleteMaintainsThroughDRed) {
 }
 
 TEST(SessionMaintain, MaintainedAnswersMatchFreshSessionByteForByte) {
-  Engine engine;
-  engine.Define(kTc);
-  engine.Insert("edge", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)}),
-                         Tuple({I(3), I(4)})});
+  // With demand on, the warm session also holds a tc(1, y) cone, which must
+  // follow the same insert / DRed delete / re-insert stream.
+  for (bool demand : {false, true}) {
+    Engine engine;
+    engine.Define(kTc);
+    engine.Insert("edge", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)}),
+                           Tuple({I(3), I(4)})});
 
-  std::unique_ptr<Session> warm = engine.OpenSession();
-  warm->Query("def output(x, y) : tc(x, y)");
+    std::unique_ptr<Session> warm = engine.OpenSession();
+    warm->options().demand_transform = demand;
+    warm->Query("def output(x, y) : tc(x, y)");
+    if (demand) {
+      warm->Query("def output(y) : tc(1, y)");
+      ASSERT_GT(warm->demand_cache().size(), 0u);
+    }
 
-  const char* updates[] = {
-      "def insert(:edge, x, y) : x = 4 and y = 5",
-      "def delete(:edge, x, y) : x = 2 and y = 3",
-      "def insert(:edge, x, y) : x = 2 and y = 5",
-  };
-  for (const char* update : updates) {
-    engine.Exec(update);
-    warm->Refresh();
-    std::unique_ptr<Session> cold = engine.OpenSession();
-    EXPECT_EQ(warm->Query("def output(x, y) : tc(x, y)").ToString(),
-              cold->Query("def output(x, y) : tc(x, y)").ToString())
-        << "after update: " << update;
+    const char* updates[] = {
+        "def insert(:edge, x, y) : x = 4 and y = 5",
+        "def delete(:edge, x, y) : x = 2 and y = 3",
+        "def insert(:edge, x, y) : x = 2 and y = 5",
+    };
+    for (const char* update : updates) {
+      engine.Exec(update);
+      warm->Refresh();
+      std::unique_ptr<Session> cold = engine.OpenSession();
+      cold->options().demand_transform = demand;
+      EXPECT_EQ(warm->Query("def output(x, y) : tc(x, y)").ToString(),
+                cold->Query("def output(x, y) : tc(x, y)").ToString())
+          << "after update: " << update << ", demand " << demand;
+      if (demand) {
+        const uint64_t maintained = warm->demand_cache().maintained();
+        EXPECT_EQ(warm->Query("def output(y) : tc(1, y)").ToString(),
+                  cold->Query("def output(y) : tc(1, y)").ToString())
+            << "after update: " << update;
+        EXPECT_GT(maintained, 0u) << "after update: " << update;
+        EXPECT_GT(warm->last_lowering_stats().demand_cache_hits, 0)
+            << "after update: " << update;
+      }
+    }
   }
 }
 

@@ -1,8 +1,9 @@
 // Session/snapshot-isolation tests: pinned readers see byte-identical
 // answers no matter what commits around them, writes serialize through the
 // commit pipeline with rollback invisible to readers, and the per-session
-// demand cache survives read-only transactions. The concurrent tests run
-// under TSan in CI — they are the data-race proof of the serving layer.
+// cone cache survives read-only transactions but never a recovery. The
+// concurrent tests run under TSan in CI — they are the data-race proof of
+// the serving layer.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 
 #include "base/error.h"
 #include "core/engine.h"
+#include "storage/file.h"
 
 namespace rel {
 namespace {
@@ -167,6 +169,40 @@ TEST(Session, DefineClearsDemandCache) {
   EXPECT_EQ(session->demand_cache().size(), 0u);
   EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(),
             "{(2); (100)}");
+}
+
+TEST(Session, RecoveryAtTheSameVersionDropsCachedCones) {
+  // A store whose database reaches version 2 with different edges.
+  auto fs = std::make_shared<storage::MemFileSystem>();
+  {
+    Engine writer;
+    ASSERT_TRUE(writer.AttachStorage("db", {}, fs).status.ok());
+    writer.Insert("edge", {Tuple({I(1), I(5)}), Tuple({I(5), I(6)})});
+  }
+
+  Engine engine;
+  engine.Define(
+      "def tc(x, y) : edge(x, y)\n"
+      "def tc(x, z) : exists((y) | edge(x, y) and tc(y, z))");
+  engine.Insert("edge", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)})});
+  std::unique_ptr<Session> session = engine.OpenSession();
+  session->options().demand_transform = true;
+  ASSERT_EQ(session->snapshot_version(), 2u);
+  EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(),
+            "{(2); (3)}");
+  ASSERT_GT(session->demand_cache().size(), 0u);
+
+  // Recovery replaces the database wholesale. Its version number repeats
+  // the old timeline's, so no cached cone may survive the re-pin.
+  ASSERT_TRUE(engine.AttachStorage("db", {}, fs).status.ok());
+  session->Refresh();
+  ASSERT_EQ(session->snapshot_version(), 2u);
+  EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(),
+            "{(5); (6)}");
+  std::unique_ptr<Session> fresh = engine.OpenSession();
+  fresh->options().demand_transform = true;
+  EXPECT_EQ(fresh->Query("def output(y) : tc(1, y)").ToString(),
+            "{(5); (6)}");
 }
 
 // --- concurrency (the TSan targets) ---------------------------------------
